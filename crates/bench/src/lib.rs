@@ -63,7 +63,7 @@ impl WorkloadSpec {
         }
     }
 
-    /// Scaled-down defaults for CI / criterion runs.
+    /// Scaled-down defaults for CI and `figures --quick` runs.
     pub fn quick(mode: Mode) -> Self {
         WorkloadSpec {
             depth: 2,

@@ -20,7 +20,7 @@ use crate::exec::{execute, ExecCache, ExecContext};
 use crate::expr::{BinOp, Expr};
 use crate::plan::PlanRef;
 use crate::schema::TableSchema;
-use crate::table::{Key, Table};
+use crate::table::{Covering, Table};
 use crate::value::{ColumnType, Row, Value};
 use crate::wire::RedoOp;
 use crate::{Error, Result};
@@ -114,17 +114,24 @@ pub struct SqlTrigger {
 /// Simple execution counters, used by benches and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Data-change statements executed.
+    /// Data-change statements that completed, including those that
+    /// matched no row; a statement that failed and was rolled back does
+    /// not count.
     pub statements: u64,
     /// Trigger bodies evaluated.
     pub triggers_fired: u64,
     /// Rows visited by full table scans — `TableScan` operators plus the
-    /// statement-level scan fallbacks of `update_expr`/`delete_expr`.
-    /// Together with [`Stats::index_probes`] this lets tests assert
-    /// probe-not-scan instead of inferring it from wall-clock time.
+    /// scans the statement access planner falls back to for `SELECT`,
+    /// `UPDATE` and `DELETE`. Together with [`Stats::index_probes`] this
+    /// lets tests assert probe-not-scan instead of inferring it from
+    /// wall-clock time. A clone (`Database::clone`) starts from a copy of
+    /// these counters and counts on its own, so reads a session serves
+    /// from a published snapshot never reach the live database's `STATS`.
     pub rows_scanned: u64,
-    /// Primary-key and secondary-index equality probes (index joins and
-    /// keyed statement fast paths).
+    /// Primary-key and secondary-index equality probes: one per index-join
+    /// probe and one per statement the access planner answers by a probe
+    /// (hit or miss). Snapshot reads are not seen, as for
+    /// [`Stats::rows_scanned`].
     pub index_probes: u64,
     /// Join build sides / stable subplan results served from the
     /// cross-firing executor cache instead of being rebuilt.
@@ -823,29 +830,26 @@ impl Database {
         Ok(())
     }
 
-    /// Record one statement's physical effects (all deletions by
-    /// pre-image key, then all insertions by full row — matching the
-    /// two-phase apply order of `update_expr`, so key-reshuffling updates
-    /// replay correctly). No-op unless capture is enabled.
-    fn capture_redo(&self, table: &str, inserted: &[Row], deleted: &[Row]) {
+    /// Record one statement's physical effects on the table `schema`
+    /// describes: all deletions by pre-image key, then all insertions by
+    /// full row — the order of the apply step, so key-reshuffling updates
+    /// replay correctly. No-op unless capture is enabled.
+    fn capture_redo(&self, schema: &TableSchema, inserted: &[Row], deleted: &[Row]) {
         if !self.redo_capture || (inserted.is_empty() && deleted.is_empty()) {
             return;
         }
-        let Ok(t) = self.table(table) else { return };
-        let schema = t.schema_ref();
-        drop(t);
         REDO_BUF.with(|m| {
             let mut m = m.borrow_mut();
             let buf = m.entry(self.db_id).or_default();
             for old in deleted {
                 buf.push(RedoOp::Del {
-                    table: table.to_string(),
+                    table: schema.name.clone(),
                     key: schema.key_of(old).into_vec(),
                 });
             }
             for new in inserted {
                 buf.push(RedoOp::Put {
-                    table: table.to_string(),
+                    table: schema.name.clone(),
                     row: Arc::clone(new),
                 });
             }
@@ -956,30 +960,14 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Statements (each fires AFTER triggers once)
+    // Statements: access planner → apply step → epilogue (each fires AFTER
+    // triggers once)
     // ------------------------------------------------------------------
 
-    /// `INSERT INTO table VALUES rows…` as one statement.
+    /// `INSERT INTO table VALUES rows…` as one statement. All or nothing: a
+    /// duplicate key or an ill-typed row leaves the table as it was.
     pub fn insert(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let n = rows.len();
-        let mut inserted = Vec::with_capacity(n);
-        {
-            let mut t = self.table_write(table)?;
-            for r in rows {
-                inserted.push(t.insert(r)?);
-            }
-        }
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &[]);
-        if !inserted.is_empty() {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Insert,
-                inserted,
-                deleted: vec![],
-            })?;
-        }
-        Ok(n)
+        self.apply(self.table_write(table)?, Event::Insert, Vec::new(), rows)
     }
 
     /// Single-row insert convenience.
@@ -989,289 +977,65 @@ impl Database {
 
     /// `UPDATE table SET … WHERE pk = key` as one statement. `assignments`
     /// are `(column index, new value)` pairs. Returns `false` when no row
-    /// has that key.
+    /// has that key. A wrapper over [`Database::update_expr`].
     pub fn update_by_key(
         &self,
         table: &str,
         key: &[Value],
         assignments: &[(usize, Value)],
     ) -> Result<bool> {
-        self.counters.add_probes(1);
-        let (old, new) = {
-            let mut t = self.table_write(table)?;
-            let Some(existing) = t.get(key) else {
-                return Ok(false);
-            };
-            let mut next: Vec<Value> = existing.to_vec();
-            for (col, v) in assignments {
-                if *col >= next.len() {
-                    return Err(Error::UnknownColumn(table.to_string(), col.to_string()));
-                }
-                next[*col] = v.clone();
-            }
-            t.update(key, next)?
-        };
-        self.counters.add_statement();
-        self.capture_redo(
-            table,
-            std::slice::from_ref(&new),
-            std::slice::from_ref(&old),
-        );
-        self.after_statement(TransitionTables {
-            table: table.to_string(),
-            event: Event::Update,
-            inserted: vec![new],
-            deleted: vec![old],
-        })?;
-        Ok(true)
-    }
-
-    /// `UPDATE table SET row = f(row) WHERE pred(row)` as one statement.
-    pub fn update_where(
-        &self,
-        table: &str,
-        pred: impl Fn(&Row) -> bool,
-        f: impl Fn(&Row) -> Vec<Value>,
-    ) -> Result<usize> {
-        let (deleted, inserted) = {
-            let mut t = self.table_write(table)?;
-            let keys: Vec<_> = t
-                .iter()
-                .filter(|r| pred(r))
-                .map(|r| t.schema().key_of(r))
-                .collect();
-            let mut deleted = Vec::with_capacity(keys.len());
-            let mut inserted = Vec::with_capacity(keys.len());
-            for k in keys {
-                let existing = t.get(&k).expect("key collected from scan").clone();
-                let next = f(&existing);
-                let (old, new) = t.update(&k, next)?;
-                deleted.push(old);
-                inserted.push(new);
-            }
-            (deleted, inserted)
-        };
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &deleted);
-        let n = inserted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Update,
-                inserted,
-                deleted,
-            })?;
-        }
-        Ok(n)
+        let pred = self.key_predicate(table, key)?;
+        let assignments: Vec<(usize, Expr)> = assignments
+            .iter()
+            .map(|(col, v)| (*col, Expr::Lit(v.clone())))
+            .collect();
+        Ok(self.update_expr(table, Some(&pred), &assignments)? > 0)
     }
 
     /// `UPDATE table SET col = expr, … WHERE pred` as one statement, with
     /// both the predicate and the assignment right-hand sides as
-    /// [`Expr`](crate::expr::Expr)essions over the *pre-update* row.
-    ///
-    /// Updates apply *simultaneously* (standard SQL statement semantics):
-    /// all affected rows are removed, then all replacements inserted, so a
-    /// key-reshuffling UPDATE (`SET id = id + 1`) does not depend on apply
-    /// order. Evaluation errors and key collisions abort the statement
-    /// atomically — no rows change and no triggers fire.
+    /// [`Expr`]essions over the *pre-update* row. The affected rows come
+    /// from the access planner and change through the apply step, so the
+    /// row changes are all or nothing and key-reshuffling updates
+    /// (`SET id = id + 1`) do not depend on row order.
     pub fn update_expr(
         &self,
         table: &str,
-        pred: Option<&crate::expr::Expr>,
-        assignments: &[(usize, crate::expr::Expr)],
+        pred: Option<&Expr>,
+        assignments: &[(usize, Expr)],
     ) -> Result<usize> {
-        let mut probed = 0u64;
-        let mut scanned = 0u64;
-        let (deleted, inserted) = {
-            let mut t = self.table_write(table)?;
-            let arity = t.schema().arity();
-            for (col, _) in assignments {
-                if *col >= arity {
-                    return Err(Error::UnknownColumn(table.to_string(), col.to_string()));
-                }
-            }
-            let mut targets: Vec<(Box<[Value]>, Vec<Value>)> = Vec::new();
-            // Keyed fast path: a predicate that is an equality on the
-            // primary key or an indexed column probes the affected rows
-            // directly (the probe is exactly the predicate, so no residual
-            // evaluation is needed); anything else scans.
-            match pred.and_then(|p| probe_keys(&t, p)) {
-                Some(keys) => {
-                    probed = 1;
-                    for k in keys {
-                        let r = t.get(&k).expect("probed key exists");
-                        let mut next: Vec<Value> = r.to_vec();
-                        for (col, e) in assignments {
-                            next[*col] = e.eval(r)?;
-                        }
-                        targets.push((k, next));
-                    }
-                }
-                None => {
-                    scanned = t.len() as u64;
-                    for r in t.iter() {
-                        let keep = match pred {
-                            Some(p) => p.eval(r)?.is_true(),
-                            None => true,
-                        };
-                        if !keep {
-                            continue;
-                        }
-                        let mut next: Vec<Value> = r.to_vec();
-                        for (col, e) in assignments {
-                            next[*col] = e.eval(r)?;
-                        }
-                        targets.push((t.schema().key_of(r), next));
-                    }
-                }
-            }
-            // Phase 1: remove every affected row.
-            let mut deleted = Vec::with_capacity(targets.len());
-            for (k, _) in &targets {
-                deleted.push(t.delete(k).expect("key collected from scan"));
-            }
-            // Phase 2: insert the replacements; on failure (duplicate key
-            // against an untouched row or another replacement, or a type
-            // mismatch) roll everything back and report the error.
-            let mut inserted = Vec::with_capacity(targets.len());
-            let mut failure = None;
-            for (_, next) in targets {
-                match t.insert(next) {
-                    Ok(new) => inserted.push(new),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                for new in &inserted {
-                    let k = t.schema().key_of(new);
-                    t.delete(&k).expect("rollback removes inserted row");
-                }
-                for old in deleted {
-                    t.insert(old.to_vec()).expect("rollback restores prior row");
-                }
-                return Err(e);
-            }
-            (deleted, inserted)
-        };
-        self.note_access(probed, scanned);
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &deleted);
-        let n = inserted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Update,
-                inserted,
-                deleted,
-            })?;
+        let t = self.table_write(table)?;
+        let arity = t.schema().arity();
+        if let Some((col, _)) = assignments.iter().find(|(col, _)| *col >= arity) {
+            return Err(Error::UnknownColumn(table.to_string(), col.to_string()));
         }
-        Ok(n)
+        let old = self.access(&t, pred)?;
+        let new = old
+            .iter()
+            .map(|r| {
+                let mut next = r.to_vec();
+                for (col, e) in assignments {
+                    next[*col] = e.eval(r)?;
+                }
+                Ok(next)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.apply(t, Event::Update, old, new)
     }
 
     /// `DELETE FROM table WHERE pred` as one statement, with the predicate
-    /// as an [`Expr`](crate::expr::Expr)ession. Evaluation errors abort the
-    /// statement before any row changes. Indexed-equality predicates probe
-    /// the affected rows instead of scanning (see [`Database::update_expr`]).
-    pub fn delete_expr(&self, table: &str, pred: Option<&crate::expr::Expr>) -> Result<usize> {
-        let mut probed = 0u64;
-        let mut scanned = 0u64;
-        let deleted = {
-            let mut t = self.table_write(table)?;
-            let keys = match pred.and_then(|p| probe_keys(&t, p)) {
-                Some(keys) => {
-                    probed = 1;
-                    keys
-                }
-                None => {
-                    scanned = t.len() as u64;
-                    let mut keys = Vec::new();
-                    for r in t.iter() {
-                        let hit = match pred {
-                            Some(p) => p.eval(r)?.is_true(),
-                            None => true,
-                        };
-                        if hit {
-                            keys.push(t.schema().key_of(r));
-                        }
-                    }
-                    keys
-                }
-            };
-            let mut deleted = Vec::with_capacity(keys.len());
-            for k in keys {
-                if let Some(row) = t.delete(&k) {
-                    deleted.push(row);
-                }
-            }
-            deleted
-        };
-        self.note_access(probed, scanned);
-        self.counters.add_statement();
-        self.capture_redo(table, &[], &deleted);
-        let n = deleted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Delete,
-                inserted: vec![],
-                deleted,
-            })?;
-        }
-        Ok(n)
+    /// as an [`Expr`]ession (see [`Database::update_expr`]).
+    pub fn delete_expr(&self, table: &str, pred: Option<&Expr>) -> Result<usize> {
+        let t = self.table_write(table)?;
+        let old = self.access(&t, pred)?;
+        self.apply(t, Event::Delete, old, Vec::new())
     }
 
-    /// `DELETE FROM table WHERE pk = key` as one statement.
+    /// `DELETE FROM table WHERE pk = key` as one statement. Returns `false`
+    /// when no row has that key. A wrapper over [`Database::delete_expr`].
     pub fn delete_by_key(&self, table: &str, key: &[Value]) -> Result<bool> {
-        self.counters.add_probes(1);
-        let old = self.table_write(table)?.delete(key);
-        self.counters.add_statement();
-        match old {
-            None => Ok(false),
-            Some(row) => {
-                self.capture_redo(table, &[], std::slice::from_ref(&row));
-                self.after_statement(TransitionTables {
-                    table: table.to_string(),
-                    event: Event::Delete,
-                    inserted: vec![],
-                    deleted: vec![row],
-                })?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// `DELETE FROM table WHERE pred(row)` as one statement.
-    pub fn delete_where(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Result<usize> {
-        let deleted = {
-            let mut t = self.table_write(table)?;
-            let keys: Vec<_> = t
-                .iter()
-                .filter(|r| pred(r))
-                .map(|r| t.schema().key_of(r))
-                .collect();
-            let mut deleted = Vec::with_capacity(keys.len());
-            for k in keys {
-                if let Some(row) = t.delete(&k) {
-                    deleted.push(row);
-                }
-            }
-            deleted
-        };
-        self.counters.add_statement();
-        self.capture_redo(table, &[], &deleted);
-        let n = deleted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Delete,
-                inserted: vec![],
-                deleted,
-            })?;
-        }
-        Ok(n)
+        let pred = self.key_predicate(table, key)?;
+        Ok(self.delete_expr(table, Some(&pred))? > 0)
     }
 
     /// Bulk load without firing triggers (initial data population, like
@@ -1286,8 +1050,9 @@ impl Database {
                 loaded.push(row);
             }
         }
+        let schema = t.schema_ref();
         drop(t);
-        self.capture_redo(table, &loaded, &[]);
+        self.capture_redo(&schema, &loaded, &[]);
         Ok(n)
     }
 
@@ -1311,25 +1076,103 @@ impl Database {
                 }
             }
         }
+        let schema = t.schema_ref();
         drop(t);
-        self.capture_redo(table, &[], &removed);
+        self.capture_redo(&schema, &[], &removed);
+        Ok(n)
+    }
+
+    /// `pk₁ = key₁ AND …` over `table`'s primary key: the predicate the
+    /// keyed wrappers hand to the access planner.
+    fn key_predicate(&self, table: &str, key: &[Value]) -> Result<Expr> {
+        let schema = self.table(table)?.schema_ref();
+        if key.len() != schema.primary_key.len() {
+            return Err(Error::Plan(format!("key {key:?} does not fit {table}")));
+        }
+        Ok(Expr::and_all(
+            schema
+                .primary_key
+                .iter()
+                .zip(key)
+                .map(|(&col, v)| Expr::eq(Expr::col(col), Expr::Lit(v.clone())))
+                .collect(),
+        ))
+    }
+
+    /// The access planner `SELECT`, `UPDATE` and `DELETE` share: the rows
+    /// of `t` matching `pred` (all rows when `None`), in primary-key order.
+    /// One probe answers a `pred` whose `col = literal` equalities exactly
+    /// cover the primary key or one indexed column ([`probe_plan`]); else
+    /// it scans. It records its cost: one `index_probes`, or
+    /// `rows_scanned += t.len()`.
+    pub(crate) fn access(&self, t: &Table, pred: Option<&Expr>) -> Result<Vec<Row>> {
+        if let Some((how, vals)) = pred.and_then(|p| probe_plan(t, p)) {
+            self.counters.add_probes(1);
+            return Ok(t.probe(&how, &vals).into_iter().cloned().collect());
+        }
+        self.counters.add_scanned(t.len() as u64);
+        let mut rows = Vec::new();
+        for r in t.iter() {
+            if pred.map_or(Ok(true), |p| p.eval(r).map(|v| v.is_true()))? {
+                rows.push(Arc::clone(r));
+            }
+        }
+        Ok(rows)
+    }
+
+    /// The apply step every data-change statement ends in: remove the rows
+    /// `old` (read under the same latch), then insert `new` — all removals
+    /// first, for SQL's simultaneous-update semantics. On failure it
+    /// restores the prior rows and returns the error; nothing is counted,
+    /// logged or fired. On success the epilogue runs once: count the
+    /// statement, capture its redo, fire the AFTER triggers (a trigger
+    /// error leaves the statement's own change in place).
+    fn apply(
+        &self,
+        mut t: TableWrite<'_>,
+        event: Event,
+        old: Vec<Row>,
+        new: Vec<Vec<Value>>,
+    ) -> Result<usize> {
+        let schema = t.schema_ref();
+        for r in &old {
+            t.delete(&schema.key_of(r))
+                .expect("pre-image read under the latch");
+        }
+        let mut inserted = Vec::with_capacity(new.len());
+        for row in new {
+            match t.insert(row) {
+                Ok(r) => inserted.push(r),
+                Err(e) => {
+                    for r in &inserted {
+                        t.delete(&schema.key_of(r));
+                    }
+                    for r in &old {
+                        t.insert(r.to_vec()).expect("restores a removed row");
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        // Triggers may write this table: release its latch first.
+        drop(t);
+        self.counters.add_statement();
+        self.capture_redo(&schema, &inserted, &old);
+        let n = inserted.len().max(old.len());
+        if n > 0 {
+            self.after_statement(TransitionTables {
+                table: schema.name.clone(),
+                event,
+                inserted,
+                deleted: old,
+            })?;
+        }
         Ok(n)
     }
 
     // ------------------------------------------------------------------
     // Trigger dispatch
     // ------------------------------------------------------------------
-
-    /// Fold `(probes, scanned-row)` deltas from the statement fast paths
-    /// into the executor counters.
-    fn note_access(&self, probed: u64, scanned: u64) {
-        if probed > 0 {
-            self.counters.add_probes(probed);
-        }
-        if scanned > 0 {
-            self.counters.add_scanned(scanned);
-        }
-    }
 
     fn after_statement(&self, trans: TransitionTables) -> Result<()> {
         let matching: Vec<Arc<SqlTrigger>> = self
@@ -1416,9 +1259,8 @@ fn equality_pairs(pred: &Expr, out: &mut Vec<(usize, Value)>) -> bool {
 /// when its type lines up with the column's declared type (numerics are
 /// interchangeable: storage order and hashing unify `Int`/`Double`).
 /// Cross-kind comparisons like `str_col = 5` atomize in SQL but would
-/// miss under key equality, so they fall back to the scan path. Shared
-/// with the textual layer's keyed fast path ([`crate::sql`]).
-pub(crate) fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
+/// miss under key equality, so they fall back to the scan.
+fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
     matches!(
         (lit, ty),
         (
@@ -1429,11 +1271,10 @@ pub(crate) fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
     )
 }
 
-/// Primary keys of the rows matching an indexed-equality predicate: the
-/// equalities cover the full primary key (one PK probe) or a single
-/// secondary-indexed column (one index probe). `None` when the predicate
-/// is not probeable — callers fall back to the full scan.
-fn probe_keys(t: &Table, pred: &Expr) -> Option<Vec<Key>> {
+/// The probe that answers `pred` exactly, if there is one: `pred`'s
+/// equalities must be probe-compatible and their columns covered by the
+/// primary key or one secondary index. `None` means scan.
+fn probe_plan(t: &Table, pred: &Expr) -> Option<(Covering, Vec<Value>)> {
     let mut pairs = Vec::new();
     if !equality_pairs(pred, &mut pairs) {
         return None;
@@ -1445,28 +1286,8 @@ fn probe_keys(t: &Table, pred: &Expr) -> Option<Vec<Key>> {
     {
         return None;
     }
-    let pk = &schema.primary_key;
-    if pairs.len() == pk.len() && pk.iter().all(|c| pairs.iter().any(|(pc, _)| pc == c)) {
-        let key: Key = pk
-            .iter()
-            .map(|c| {
-                pairs
-                    .iter()
-                    .find(|(pc, _)| pc == c)
-                    .expect("coverage checked")
-                    .1
-                    .clone()
-            })
-            .collect();
-        return Some(t.get(&key).map(|r| schema.key_of(r)).into_iter().collect());
-    }
-    if let [(col, value)] = pairs.as_slice() {
-        if t.has_index(*col) {
-            let rows = t.index_lookup(*col, value).ok()?;
-            return Some(rows.iter().map(|r| schema.key_of(r)).collect());
-        }
-    }
-    None
+    let (cols, vals): (Vec<usize>, Vec<Value>) = pairs.into_iter().unzip();
+    Some((t.covering(&cols)?, vals))
 }
 
 #[cfg(test)]
@@ -1672,8 +1493,7 @@ mod tests {
         db.load("vendor", vec![vrow("a", "P1", 1.0), vrow("b", "P1", 2.0)])
             .unwrap();
         let before = db.stats();
-        // price = price * 2 is a non-literal assignment, so the sql-layer
-        // keyed fast path does not apply; the expr layer must still probe.
+        // A full-key equality probes whatever the assignments are.
         let pred = Expr::bin(
             BinOp::And,
             Expr::eq(Expr::col(0), Expr::lit("a")),
@@ -1794,7 +1614,7 @@ mod tests {
     }
 
     #[test]
-    fn update_where_batches_into_one_statement() {
+    fn update_expr_batches_into_one_statement() {
         let mut db = db_with_vendor();
         db.load(
             "vendor",
@@ -1817,16 +1637,9 @@ mod tests {
             })),
         })
         .unwrap();
+        let pred = Expr::eq(Expr::col(1), Expr::lit("P1"));
         let n = db
-            .update_where(
-                "vendor",
-                |r| r[1] == Value::str("P1"),
-                |r| {
-                    let mut v = r.to_vec();
-                    v[2] = Value::Double(99.0);
-                    v
-                },
-            )
+            .update_expr("vendor", Some(&pred), &[(2, Expr::lit(99.0))])
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(*firings.lock().unwrap(), vec![2]);

@@ -610,12 +610,11 @@ fn index_join(
     let schema = t.schema();
     let inner_arity = schema.arity();
     let probe_cols: Vec<usize> = probe.iter().map(|(c, _)| *c).collect();
-    let is_pk_probe = probe_cols == schema.primary_key;
-    if !(is_pk_probe || (probe_cols.len() == 1 && t.has_index(probe_cols[0]))) {
+    let Some(covering) = t.covering(&probe_cols) else {
         return Err(Error::Plan(format!(
             "IndexJoin on {table} cols {probe_cols:?}: not the primary key and no secondary index"
         )));
-    }
+    };
 
     // For the Old epoch, the probe must see the pre-statement state:
     // current matches minus Δ-keyed rows, plus matching ∇ rows.
@@ -650,11 +649,7 @@ fn index_join(
         // buckets); only the Old-epoch reconstruction, which splices in ∇
         // rows, still needs a deterministic re-sort.
         let mut matched: Vec<Row> = Vec::new();
-        let current = if is_pk_probe {
-            t.get(&probe_vals).into_iter().collect()
-        } else {
-            t.index_lookup(probe_cols[0], &probe_vals[0])?
-        };
+        let current = t.probe(&covering, &probe_vals);
         match epoch {
             TableEpoch::Current => matched.extend(current.into_iter().cloned()),
             TableEpoch::Old => {

@@ -42,9 +42,11 @@ pub use database::{
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};
-pub use table::{Key, Table};
+pub use table::{Covering, Key, Table};
 pub use value::{row, ColumnType, Row, Value};
 pub use wire::RedoOp;
 
+#[cfg(test)]
+mod access_tests;
 #[cfg(test)]
 mod exec_tests;

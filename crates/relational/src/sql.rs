@@ -12,11 +12,14 @@
 //! Errors carry byte [`Span`]s into the statement text so the session layer
 //! can report `parse error at 7..12: unknown column `prices``.
 //!
-//! Keyed `UPDATE`/`DELETE` statements whose `WHERE` clause is a conjunction
-//! of equalities covering the table's primary key compile to index probes
-//! ([`Database::update_by_key`] / [`Database::delete_by_key`]) rather than
-//! scans — the textual surface stays fast enough to drive the paper's
-//! measurement loops (§6).
+//! This module only parses and binds. `SELECT`, `UPDATE` and `DELETE` hand
+//! their bound `WHERE` clause to the database's one access planner, which
+//! answers a conjunction of `col = literal` equalities covering the
+//! primary key or one indexed column with an index probe and anything
+//! else with a scan; `INSERT`, `UPDATE` and `DELETE` then change rows
+//! through its one all-or-nothing apply step. Keyed statements thus stay
+//! probes, never scans — fast enough to drive the paper's measurement
+//! loops (§6).
 
 use std::fmt;
 use std::sync::Arc;
@@ -383,15 +386,6 @@ pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, Statem
                     .map_err(|_| unknown_column(col, table, *span))?;
                 assignments.push((idx, bind(e, &schema, table)?));
             }
-            // Keyed fast path: WHERE covers the primary key with equalities
-            // and every assignment is a literal → one index probe.
-            if let (Some(key), Some(vals)) = (
-                filter.as_ref().and_then(|f| pk_probe(&schema, f)),
-                literal_assignments(&assignments),
-            ) {
-                let hit = db.update_by_key(table, &key, &vals)?;
-                return Ok(SqlOutcome::RowsAffected(usize::from(hit)));
-            }
             let pred = filter
                 .as_ref()
                 .map(|f| bind(f, &schema, table))
@@ -401,10 +395,6 @@ pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, Statem
         }
         Statement::Delete { table, filter } => {
             let schema = db.table(table)?.schema_ref();
-            if let Some(key) = filter.as_ref().and_then(|f| pk_probe(&schema, f)) {
-                let hit = db.delete_by_key(table, &key)?;
-                return Ok(SqlOutcome::RowsAffected(usize::from(hit)));
-            }
             let pred = filter
                 .as_ref()
                 .map(|f| bind(f, &schema, table))
@@ -445,18 +435,13 @@ pub fn select(
             (names, idx)
         }
     };
-    // Ordered storage scans in primary-key order, so the output is
+    // Probes and scans both yield primary-key order, so the output is
     // deterministic without a sort.
-    let mut rows: Vec<Row> = Vec::new();
-    for r in t.iter() {
-        let keep = match &pred {
-            Some(p) => p.eval(r).map_err(StatementError::Db)?.is_true(),
-            None => true,
-        };
-        if keep {
-            rows.push(indices.iter().map(|&i| r[i].clone()).collect::<Row>());
-        }
-    }
+    let rows = db
+        .access(&t, pred.as_ref())?
+        .iter()
+        .map(|r| indices.iter().map(|&i| r[i].clone()).collect::<Row>())
+        .collect();
     Ok(SqlOutcome::Rows {
         columns: names,
         rows,
@@ -499,74 +484,6 @@ fn bind(e: &SqlExpr, schema: &TableSchema, table: &str) -> Result<Expr, Statemen
             }
         }
     })
-}
-
-/// If `filter` is a conjunction of `col = literal` equalities covering the
-/// primary key exactly, return the key values in key order.
-///
-/// A probe replaces the predicate's SQL comparison with total key equality,
-/// so it is only taken when the two agree: NULL and NaN literals (whose SQL
-/// comparisons are unknown / always-false, but which a key lookup would
-/// match via total order) and literals whose kind mismatches the column's
-/// declared type (which SQL atomizes — `str_col = 5` can match `'5'` — but
-/// a key probe would miss) all fall back to the generic expression path.
-fn pk_probe(schema: &TableSchema, filter: &SqlExpr) -> Option<Vec<Value>> {
-    let mut pairs: Vec<(String, Value)> = Vec::new();
-    if !collect_equalities(filter, &mut pairs) {
-        return None;
-    }
-    if pairs.len() != schema.primary_key.len() {
-        return None;
-    }
-    let mut key = Vec::with_capacity(schema.primary_key.len());
-    for &pk_col in &schema.primary_key {
-        let name = &schema.columns[pk_col].name;
-        let v = pairs.iter().find(|(c, _)| c == name)?;
-        if !crate::database::probe_compatible(&v.1, schema.columns[pk_col].ty) {
-            return None;
-        }
-        key.push(v.1.clone());
-    }
-    Some(key)
-}
-
-fn collect_equalities(e: &SqlExpr, out: &mut Vec<(String, Value)>) -> bool {
-    match e {
-        SqlExpr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => collect_equalities(left, out) && collect_equalities(right, out),
-        SqlExpr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } => match (left.as_ref(), right.as_ref()) {
-            (SqlExpr::Col(c, _), SqlExpr::Lit(v)) | (SqlExpr::Lit(v), SqlExpr::Col(c, _)) => {
-                if v.is_null() || matches!(v, Value::Double(d) if d.is_nan()) {
-                    return false; // SQL comparison ≠ key equality: scan
-                }
-                if out.iter().any(|(seen, _)| seen == c) {
-                    return false; // duplicate constraint: let the generic path decide
-                }
-                out.push((c.clone(), v.clone()));
-                true
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-/// All-literal assignments, as `update_by_key` value pairs.
-fn literal_assignments(assignments: &[(usize, Expr)]) -> Option<Vec<(usize, Value)>> {
-    assignments
-        .iter()
-        .map(|(i, e)| match e {
-            Expr::Lit(v) => Some((*i, v.clone())),
-            _ => None,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1353,28 +1270,6 @@ mod tests {
                 "{text:?}: {span:?}"
             );
         }
-    }
-
-    #[test]
-    fn mismatched_and_null_pk_literals_skip_the_probe_fast_path() {
-        let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)").unwrap();
-        run(&mut db, "INSERT INTO t VALUES ('5', 1), ('x', 2)").unwrap();
-        // `id = 5` compares an Int literal to a TEXT key. SQL atomization
-        // matches the row '5'; a key probe with Int(5) would miss it and
-        // report 0 rows. The statement must take the scan path.
-        let out = run(&mut db, "UPDATE t SET v = 9 WHERE id = 5").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(1));
-        assert_eq!(
-            db.table("t").unwrap().get(&[Value::str("5")]).unwrap()[1],
-            Value::Int(9)
-        );
-        // NULL comparisons are unknown for every row: no matches, via the
-        // generic path (a probe keyed on NULL asks the index a question
-        // SQL semantics never ask).
-        let out = run(&mut db, "DELETE FROM t WHERE id = NULL").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(0));
-        assert_eq!(db.table("t").unwrap().len(), 2);
     }
 
     #[test]

@@ -28,6 +28,17 @@ use crate::{Error, Result};
 /// Primary-key value tuple.
 pub type Key = Box<[Value]>;
 
+/// The access path that answers equalities on a set of columns (see
+/// [`Table::covering`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Covering {
+    /// The columns are exactly the primary key. Holds, for each key
+    /// column in key order, its position among the probed columns.
+    PrimaryKey(Box<[usize]>),
+    /// The columns are one secondary-indexed column.
+    Index(usize),
+}
+
 /// A stored table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -114,6 +125,40 @@ impl Table {
         self.rows.get(key)
     }
 
+    /// Which access path answers equalities on exactly the columns `cols`:
+    /// the primary key when they are its columns (in any order), else a
+    /// secondary index when they are one indexed column. `None` means only
+    /// a scan can answer them.
+    pub fn covering(&self, cols: &[usize]) -> Option<Covering> {
+        let pk = &self.schema.primary_key;
+        if cols.len() == pk.len() {
+            let positions: Option<Box<[usize]>> = pk
+                .iter()
+                .map(|c| cols.iter().position(|x| x == c))
+                .collect();
+            if let Some(positions) = positions {
+                return Some(Covering::PrimaryKey(positions));
+            }
+        }
+        match cols {
+            [c] if self.has_index(*c) => Some(Covering::Index(*c)),
+            _ => None,
+        }
+    }
+
+    /// Rows whose covered columns equal `vals` (one value per column, in
+    /// the order the columns were passed to [`Table::covering`]), in
+    /// primary-key order.
+    pub fn probe(&self, how: &Covering, vals: &[Value]) -> Vec<&Row> {
+        match how {
+            Covering::PrimaryKey(positions) => {
+                let key: Vec<Value> = positions.iter().map(|&i| vals[i].clone()).collect();
+                self.rows.get(key.as_slice()).into_iter().collect()
+            }
+            Covering::Index(col) => self.index_lookup(*col, &vals[0]).unwrap_or_default(),
+        }
+    }
+
     /// Iterate over all rows in primary-key order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
         self.order
@@ -181,29 +226,6 @@ impl Table {
         self.version += 1;
         Some(row)
     }
-
-    /// Replace the row at `key` with `values` (the new row may move to a
-    /// different primary key). Returns `(old, new)`.
-    pub fn update(&mut self, key: &[Value], values: Vec<Value>) -> Result<(Row, Row)> {
-        self.schema.check_row(&values)?;
-        let new_key = self.schema.key_of(&values);
-        if new_key.as_ref() != key && self.rows.contains_key(&new_key) {
-            return Err(Error::DuplicateKey {
-                table: self.schema.name.clone(),
-                key: format!("{new_key:?}"),
-            });
-        }
-        let old = self
-            .delete(key)
-            .ok_or_else(|| Error::Plan(format!("update of missing key {key:?}")))?;
-        let new = self.insert(values)?;
-        Ok((old, new))
-    }
-
-    /// Primary keys of all rows (used by statement planning in tests).
-    pub fn keys(&self) -> impl Iterator<Item = &Key> {
-        self.order.iter()
-    }
 }
 
 #[cfg(test)]
@@ -257,9 +279,11 @@ mod tests {
         t.insert(v("Buy.com", "P2", 200.0)).unwrap();
         assert_eq!(t.index_lookup(1, &Value::str("P1")).unwrap().len(), 2);
 
-        // Update moves a row from P1 to P2.
+        // Moving a row from P1 to P2 (delete, then insert) moves its
+        // index entry.
         let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
-        t.update(&key, v("Amazon", "P2", 100.0)).unwrap();
+        t.delete(&key).unwrap();
+        t.insert(v("Amazon", "P2", 100.0)).unwrap();
         assert_eq!(t.index_lookup(1, &Value::str("P1")).unwrap().len(), 1);
         assert_eq!(t.index_lookup(1, &Value::str("P2")).unwrap().len(), 2);
 
@@ -323,24 +347,12 @@ mod tests {
         let v1 = t.version();
         assert!(v1 > v0);
         let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
-        t.update(&key, v("Amazon", "P1", 2.0)).unwrap();
+        t.delete(&key).unwrap();
         let v2 = t.version();
         assert!(v2 > v1);
-        t.delete(&key).unwrap();
+        t.insert(v("Amazon", "P1", 2.0)).unwrap();
         assert!(t.version() > v2);
         t.create_index(1);
         assert!(t.version() > v2 + 1);
-    }
-
-    #[test]
-    fn update_to_conflicting_key_rejected() {
-        let mut t = vendor_table();
-        t.insert(v("Amazon", "P1", 100.0)).unwrap();
-        t.insert(v("Bestbuy", "P1", 120.0)).unwrap();
-        let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
-        let err = t.update(&key, v("Bestbuy", "P1", 99.0));
-        assert!(matches!(err, Err(Error::DuplicateKey { .. })));
-        // Original row untouched.
-        assert!(t.get(&key).is_some());
     }
 }

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use quark_relational::expr::{BinOp, Expr};
 use quark_relational::plan::{JoinKind, PhysicalPlan, PlanRef, TransitionSide};
-use quark_relational::{Database, Error, Result};
+use quark_relational::{Covering, Database, Error, Result};
 
 use crate::graph::{Graph, OpId, OpKind, TableSource};
 
@@ -824,22 +824,18 @@ impl<'a> Compiler<'a> {
         driver: &Driver,
     ) -> Result<Option<Vec<(usize, Expr)>>> {
         let t = self.db.table(table)?;
-        let schema = t.schema();
-        if set_eq(cols, &schema.primary_key) {
-            let pairs = schema
-                .primary_key
-                .iter()
-                .map(|pk| {
-                    let i = cols.iter().position(|c| c == pk).expect("set_eq checked");
-                    (*pk, Expr::col(driver.cols[i]))
-                })
-                .collect();
-            return Ok(Some(pairs));
-        }
-        if cols.len() == 1 && t.has_index(cols[0]) {
-            return Ok(Some(vec![(cols[0], Expr::col(driver.cols[0]))]));
-        }
-        Ok(None)
+        Ok(match t.covering(cols) {
+            Some(Covering::PrimaryKey(positions)) => Some(
+                t.schema()
+                    .primary_key
+                    .iter()
+                    .zip(positions.iter())
+                    .map(|(&pk, &i)| (pk, Expr::col(driver.cols[i])))
+                    .collect(),
+            ),
+            Some(Covering::Index(col)) => Some(vec![(col, Expr::col(driver.cols[0]))]),
+            None => None,
+        })
     }
 
     /// Correct-but-unpushed restriction: full subplan semi-joined with the

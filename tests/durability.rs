@@ -275,6 +275,40 @@ fn mid_cascade_panic_loses_only_the_panicking_statement() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A multi-row `INSERT` whose last row collides with its first is all or
+/// nothing: no row stays live, nothing reaches the WAL, the trigger its
+/// first row would fire stays silent, and a crash recovers no row of it.
+#[test]
+fn failed_multi_row_insert_leaves_nothing_live_or_recovered() {
+    let dir = tmp_dir("insert");
+    let log = Log::default();
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    install(&session, &log);
+    let before = dump(&session);
+    let wal_before = session.quark().stats().wal_bytes_written;
+    // Alone, ('Newegg', 'P1') would add a vendor to 'CRT 15' and fire
+    // NotifyP1.
+    let err = session
+        .execute(
+            "INSERT INTO vendor VALUES ('Newegg', 'P1', 1.0), \
+             ('Circuitcity', 'P3', 850.0), ('Newegg', 'P1', 2.0)",
+        )
+        .expect_err("duplicate key");
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    assert_eq!(dump(&session), before, "no row stays live");
+    assert!(log.is_empty(), "no trigger fired");
+    assert_eq!(
+        session.quark().stats().wal_bytes_written,
+        wal_before,
+        "nothing logged"
+    );
+    drop(session); // crash
+
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    assert_eq!(dump(&session), before, "no row recovered");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn newest_wal_segment(dir: &Path) -> PathBuf {
     let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("wal"))
         .expect("wal dir")
